@@ -11,8 +11,8 @@ to ``results/BENCH_SIM_CORE.json``:
   process, so the ratio is machine-independent.
 - **Push+drain cycle** and a **self-rescheduling ping** workload
   (timer-style usage; recorded, not asserted).
-- **Fabric sends/sec** on a healthy network (the fast path: no loss, no
-  jitter, no gray state, no observer).
+- **Fabric sends/sec** on a healthy network (no loss, no jitter, no
+  gray state, no observer) through the fabric's one send path.
 - **Model construction**: cold Inet build vs a hit on the shared
   topology cache.
 
@@ -260,7 +260,7 @@ def bench_ping() -> dict:
 
 
 def bench_fabric() -> dict:
-    """Healthy-network sends through the fabric fast path."""
+    """Healthy-network sends through the fabric's one send path."""
     sim = Simulator(seed=1)
     model = ClientNetworkModel.uniform(32, latency_ms=25.0)
     fabric = NetworkFabric(sim, model, FabricConfig())
@@ -314,7 +314,7 @@ def test_sim_core_throughput_recorded(benchmark):
             "dispatch_deep_heap": bench_dispatch_deep(),
             "push_drain_cycle": bench_cycle(),
             "self_rescheduling_ping": bench_ping(),
-            "fabric_fast_path": bench_fabric(),
+            "fabric_send": bench_fabric(),
             "model_cache": bench_model_cache(),
         }
 
@@ -327,7 +327,7 @@ def test_sim_core_throughput_recorded(benchmark):
         f"\ndispatch: legacy {dispatch['legacy_events_per_s']:,} ev/s, "
         f"new {dispatch['new_events_per_s']:,} ev/s "
         f"({dispatch['speedup']}x); "
-        f"fabric {entry['fabric_fast_path']['sends_per_s']:,} sends/s"
+        f"fabric {entry['fabric_send']['sends_per_s']:,} sends/s"
     )
     # The kernel rewrite's acceptance bar: >= 2x dispatch throughput
     # over the pre-PR kernel, measured back-to-back in this process.

@@ -4,12 +4,13 @@ The reproduction's correctness rests on bit-exact golden traces: every
 strategy's full event stream must be identical across runs, machines and
 ``--workers`` counts.  The golden tests catch a determinism bug *after*
 it runs; this package catches the usual causes before that.  Linting is
-a two-phase collect/analyze pipeline: each file is walked once into
-per-file findings plus structured facts (stream-name call sites, RNG
-constructor sites, numpy call sites -- :mod:`repro.lint.facts`), then
-the project-scope rules run over the merged fact set.
+a two-phase collect/analyze pipeline: each file is parsed and walked
+once into structured facts (:mod:`repro.lint.facts` -- banned-call,
+set-iteration, factory and default-argument sites, stream-name call
+sites, RNG constructor sites, numpy call sites, ``# noqa`` comments),
+then every rule judges the merged fact set; no rule walks a syntax tree.
 
-Per-file rules, over ``src/repro``:
+Per-file rules, each judging one file's sites:
 
 ========  ==========================================================
 DET001    no wall-clock calls outside the measurement allowlist
@@ -73,6 +74,7 @@ from repro.lint.facts import (
     FileFacts,
     NumpySite,
     RngSite,
+    Site,
     StreamSite,
     collect_facts_for_module,
 )
@@ -101,6 +103,7 @@ __all__ = [
     "RULES_BY_ID",
     "RngSite",
     "Rule",
+    "Site",
     "StreamSite",
     "VECTOR_MODULES",
     "collect_facts",

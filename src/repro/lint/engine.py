@@ -3,13 +3,15 @@
 The engine is deliberately boring -- all judgement lives in the rules.
 Linting runs in two phases:
 
-1. **collect** -- every file is parsed and walked once, producing the
-   per-file findings (DET001..DET006) *and* a :class:`FileFacts` record
-   of stream-name, RNG-constructor and numpy call sites
-   (:mod:`repro.lint.facts`).
-2. **analyze** -- the project-scope rules (DET010..DET012,
-   VEC001..VEC004) run once over the merged, sorted fact set and emit
-   findings that may span files.
+1. **collect** -- every file is read, parsed and walked once by the fact
+   collector (:mod:`repro.lint.facts`), which reduces it to a
+   :class:`FileFacts` record: the sites the per-file rules judge, the
+   stream-name, RNG-constructor and numpy call sites, and the file's
+   ``# noqa`` comments.
+2. **analyze** -- every rule runs over the merged, sorted fact set:
+   per-file rules (DET001..DET006) one file at a time, project-scope
+   rules (DET010..DET012, VEC001..VEC004) over all of it, so their
+   findings may span files.
 
 Three layers filter raw findings before anything is reported:
 
@@ -34,20 +36,13 @@ the CLI and CI all share one code path.
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import Baseline
-from repro.lint.facts import FileFacts, StreamSite
+from repro.lint.facts import FileFacts, StreamSite, collect_facts_for_module
 from repro.lint.findings import Finding
-from repro.lint.rules import RULES, ModuleContext, ProjectRule, Rule
-
-#: ``# noqa`` / ``# noqa: DET001`` / ``# noqa: DET001, VEC002``
-_NOQA_RE = re.compile(
-    r"#\s*noqa\b(?::\s*(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",
-    re.IGNORECASE,
-)
+from repro.lint.rules import RULES, Rule
 
 #: Version stamp of the generated stream manifest.
 MANIFEST_VERSION = 1
@@ -104,24 +99,14 @@ def repo_root_for(path: Path) -> Optional[Path]:
 
 def _parse_context(
     source: str, *, module: str, rel_path: str, filename: str
-) -> ModuleContext:
+) -> FileFacts:
+    """Parse one module and collect its facts: the only walk over its
+    syntax tree."""
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
         raise LintError(f"syntax error in {rel_path}: {exc}") from exc
-    return ModuleContext(module=module, path=rel_path, tree=tree, source=source)
-
-
-def _collect(
-    ctx: ModuleContext, rules: Sequence[Rule]
-) -> Tuple[List[Finding], FileFacts]:
-    """Run the per-file rules and the fact collector over one module."""
-    raw: List[Finding] = []
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue
-        raw.extend(rule.check(ctx))
-    return raw, ctx.facts
+    return collect_facts_for_module(module, rel_path, tree, source)
 
 
 def lint_source(
@@ -139,14 +124,8 @@ def lint_source(
     the project-scope rules run over its facts too.  Suppression
     comments are honoured exactly as for on-disk files.
     """
-    active = tuple(rules) if rules is not None else RULES
-    ctx = _parse_context(source, module=module, rel_path=path, filename=path)
-    raw, facts = _collect(ctx, active)
-    for rule in active:
-        if isinstance(rule, ProjectRule):
-            raw.extend(rule.check_project((facts,)))
-    raw.sort()
-    return _apply_noqa(raw, {path: source.splitlines()})
+    facts = _parse_context(source, module=module, rel_path=path, filename=path)
+    return _analyze([facts], rules)
 
 
 def lint_file(
@@ -172,32 +151,14 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint files and directories; directories are walked recursively.
 
-    Phase 1 collects per-file findings and facts; phase 2 runs the
-    project-scope rules over the merged fact set.  Results are sorted
+    Phase 1 collects every file's facts (:func:`collect_facts`); phase 2
+    runs the rules over the merged fact set.  Results are sorted
     (path, line, col, rule) and the fact set is sorted before analysis,
     so output never depends on filesystem enumeration order *or* on the
     order of the ``paths`` argument -- the linter holds itself to
     DET003's standard.
     """
-    active = tuple(rules) if rules is not None else RULES
-    findings: List[Finding] = []
-    all_facts: List[FileFacts] = []
-    lines_by_path: Dict[str, Sequence[str]] = {}
-    for path in paths:
-        for file_path in _python_files(Path(path)):
-            ctx = _file_context(file_path, root)
-            if ctx.path in lines_by_path:
-                continue  # the same file listed twice is still one fact set
-            raw, facts = _collect(ctx, active)
-            findings.extend(raw)
-            all_facts.append(facts)
-            lines_by_path[ctx.path] = ctx.source.splitlines()
-    all_facts.sort()
-    for rule in active:
-        if isinstance(rule, ProjectRule):
-            findings.extend(rule.check_project(all_facts))
-    findings.sort()
-    findings = _apply_noqa(findings, lines_by_path)
+    findings = _analyze(collect_facts(paths, root=root), rules)
     if baseline is not None:
         findings = baseline.filter(findings)
     return findings
@@ -208,32 +169,41 @@ def collect_facts(
     *,
     root: Optional[Path] = None,
 ) -> List[FileFacts]:
-    """Phase 1 only: the merged, sorted fact set for ``paths``."""
-    all_facts: List[FileFacts] = []
-    seen: Set[str] = set()
+    """Phase 1 only: the merged, sorted fact set for ``paths``.  A file
+    listed twice (directly or through a directory) is read once."""
+    facts_by_path: Dict[str, FileFacts] = {}
     for path in paths:
         for file_path in _python_files(Path(path)):
-            ctx = _file_context(file_path, root)
-            if ctx.path in seen:
-                continue
-            seen.add(ctx.path)
-            all_facts.append(ctx.facts)
-    all_facts.sort()
-    return all_facts
+            rel = _relative_posix(file_path, root)
+            if rel not in facts_by_path:
+                facts_by_path[rel] = _file_facts(file_path, rel)
+    return sorted(facts_by_path.values())
 
 
-def _file_context(file_path: Path, root: Optional[Path]) -> ModuleContext:
+def _file_facts(file_path: Path, rel: str) -> FileFacts:
     try:
         source = file_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LintError(f"cannot read {file_path}: {exc}") from exc
-    rel = _relative_posix(file_path, root)
     return _parse_context(
         source,
         module=module_name_for(file_path),
         rel_path=rel,
         filename=str(file_path),
     )
+
+
+def _analyze(
+    facts: Sequence[FileFacts], rules: Optional[Sequence[Rule]]
+) -> List[Finding]:
+    """Phase 2: every rule over the fact set, sorted, minus the findings
+    a ``# noqa`` comment suppresses."""
+    active = tuple(rules) if rules is not None else RULES
+    findings = sorted(
+        finding for rule in active for finding in rule.check_project(facts)
+    )
+    noqa = {file_facts.path: dict(file_facts.noqa) for file_facts in facts}
+    return [finding for finding in findings if not _suppressed(finding, noqa)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,32 +281,15 @@ def _relative_posix(path: Path, root: Optional[Path]) -> str:
     return path.as_posix()
 
 
-def _apply_noqa(
-    findings: List[Finding], lines_by_path: Dict[str, Sequence[str]]
-) -> List[Finding]:
-    kept: List[Finding] = []
-    for finding in findings:
-        if not _suppressed(finding, lines_by_path):
-            kept.append(finding)
-    return kept
-
-
 def _suppressed(
-    finding: Finding, lines_by_path: Dict[str, Sequence[str]]
+    finding: Finding, noqa: Dict[str, Dict[int, Tuple[str, ...]]]
 ) -> bool:
     for location in finding.locations:
-        lines = lines_by_path.get(location.path)
-        if lines is None or not 1 <= location.line <= len(lines):
-            continue
-        match = _NOQA_RE.search(lines[location.line - 1])
-        if match is None:
-            continue
-        codes = match.group("codes")
+        codes = noqa.get(location.path, {}).get(location.line)
         if codes is None:
-            return True  # bare "# noqa" silences every rule on the line
-        wanted = {code.strip().upper() for code in codes.split(",")}
-        if finding.rule.upper() in wanted:
-            return True
+            continue
+        if not codes or finding.rule.upper() in codes:
+            return True  # a bare "# noqa" silences every rule on the line
     return False
 
 

@@ -1,18 +1,25 @@
 """Phase-1 fact collection: one AST walk per file, structured facts out.
 
-The per-file rules (DET001..DET006) judge a module in isolation; the
-project-scope rules (DET010..DET012, VEC001..VEC004) need to see the
-whole tree at once -- a stream-name collision is invisible from either
-of its two call sites.  Following the paper's own move (global structure
-derived from purely local rules), the engine splits linting into
+Every rule judges facts; none walks a syntax tree.  Following the
+paper's own move (global structure derived from purely local rules), the
+engine splits linting into
 
-1. **collect** -- this module.  Each file is walked exactly once and
-   reduced to a :class:`FileFacts` record: every RNG stream-name call
-   site (with its resolved literal/f-string pattern and loop context),
-   every RNG constructor site (with the seed's dataflow lineage), and
-   every determinism-relevant numpy call site.
-2. **analyze** -- the project rules in :mod:`repro.lint.rules` run over
-   the merged, sorted fact set and emit findings that may span files.
+1. **collect** -- this module.  :class:`FactCollector` walks each file
+   exactly once, tracking scopes, loop depth and same-scope dataflow
+   (set-typed locals, derived seeds, ``np.unique`` companions), and
+   reduces it to a :class:`FileFacts` record: the per-file rule sites
+   (:class:`Site` -- banned calls, ``os.environ`` loads, set iteration
+   and order laundering, unfrozen factory dataclasses, mutable
+   defaults), every RNG stream-name call site (with its resolved
+   literal/f-string pattern and loop context), every RNG constructor
+   site (with the seed's dataflow lineage), every determinism-relevant
+   numpy call site, and the file's ``# noqa`` comments.
+2. **analyze** -- the rules in :mod:`repro.lint.rules` run over the
+   merged, sorted fact set and emit findings, which may span files.
+
+Each banned-call family is one table below, and the per-file rules and
+the seed-lineage check share it: a wall-clock or OS-entropy read is a
+DET001/DET004 site and an ambient DET011 seed by the same definition.
 
 Facts are frozen and totally ordered so the analyze phase -- and the
 generated stream manifest -- cannot depend on filesystem walk order.
@@ -29,8 +36,20 @@ pattern-level rules.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import re
+from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import (
+    Deque,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 #: Method names that name-derive an RNG stream (see repro/sim/rng.py).
 STREAM_METHODS: Tuple[str, ...] = ("stream", "derive_seed", "spawn")
@@ -62,60 +81,109 @@ NUMPY_RANDOM_ALLOWED: Tuple[str, ...] = (
     "BitGenerator",
 ) + tuple(name.rsplit(".", 1)[1] for name in NUMPY_BIT_GENERATORS)
 
-#: Calls whose return value is ambient process state (never a valid
-#: seed): wall clocks and the OS entropy pool.
-AMBIENT_SEED_CALLS: Tuple[str, ...] = (
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "os.urandom",
-    "os.getrandom",
-    "os.getpid",
-    "uuid.uuid1",
-    "uuid.uuid4",
-    "secrets.token_bytes",
-    "secrets.randbits",
-    "secrets.randbelow",
-)
-
 #: Parameter names that mark a "per-index helper": a function called
 #: once per message/node/slot whose stream key must embed that index.
 INDEX_PARAM_NAMES: Tuple[str, ...] = ("index", "idx", "i")
 
+# -- banned-call families ---------------------------------------------------
+#
+# One table per family.  The collector tags every call into a family as
+# a Site of that kind (see call_family); the rules judge the sites, and
+# the seed-lineage check treats the wall-clock and entropy families (and
+# process identity) as ambient seeds.
+
+#: Wall clocks: real time observed by the process.
+WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.clock_gettime",
+        "time.localtime",
+        "time.gmtime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: The OS entropy pool; every ``secrets.*`` call counts too (by prefix).
+ENTROPY_CALLS: FrozenSet[str] = frozenset(
+    {"os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4"}
+)
+ENTROPY_PREFIXES: Tuple[str, ...] = ("secrets.",)
+
+#: Reads of the host environment and filesystem.
+ENVIRONMENT_CALLS: FrozenSet[str] = frozenset(
+    {"os.getenv", "os.putenv", "io.open", "socket.gethostname", "platform.node"}
+)
+
+#: Shared-memory constructors: creating a segment draws a random OS-level
+#: name (``/psm_...``).
+SHARED_MEMORY_CALLS: FrozenSet[str] = frozenset(
+    {
+        "multiprocessing.shared_memory.SharedMemory",
+        "multiprocessing.shared_memory.ShareableList",
+    }
+)
+
+#: Process identity: harmless to read, but never a valid seed.
+PROCESS_STATE_CALLS: FrozenSet[str] = frozenset({"os.getpid"})
+
+# -- predicate tables: sets, default arguments, numpy operands ---------------
+
+#: Builtins that copy a set's arbitrary iteration order into a sequence.
+ORDER_LAUNDERING_CALLS: Tuple[str, ...] = ("list", "tuple", "iter", "enumerate")
+
+#: Set methods whose result is again a set.
+SET_METHODS: Tuple[str, ...] = (
+    "union",
+    "intersection",
+    "difference",
+    "symmetric_difference",
+    "copy",
+)
+
+#: Callables (by final name) whose result is a fresh mutable container.
+MUTABLE_CALLS: Tuple[str, ...] = (
+    "list",
+    "dict",
+    "set",
+    "bytearray",
+    "defaultdict",
+    "deque",
+    "Counter",
+    "OrderedDict",
+)
+
+#: numpy constructors and predicates whose operand order is the result's.
+NUMPY_OPERAND_CALLS: Tuple[str, ...] = (
+    "numpy.array",
+    "numpy.asarray",
+    "numpy.asanyarray",
+    "numpy.fromiter",
+    "numpy.isin",
+)
+
+#: ``# noqa`` / ``# noqa: DET001`` / ``# noqa: DET001, VEC002``
+_NOQA_RE = re.compile(
+    r"#\s*noqa\b(?::\s*(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",
+    re.IGNORECASE,
+)
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
 
 # ---------------------------------------------------------------------------
-# Shared AST helpers (also used by the per-file rules in rules.py).
+# Shared AST helpers.
 # ---------------------------------------------------------------------------
-
-
-def import_table(tree: ast.AST) -> Dict[str, str]:
-    """Map local names to the dotted origin they were imported as.
-
-    ``import time as t`` yields ``{"t": "time"}``;
-    ``from datetime import datetime as dt`` yields
-    ``{"dt": "datetime.datetime"}``.  Relative imports resolve to their
-    bare module text (good enough for stdlib/numpy detection, which is
-    all the rules ban).
-    """
-    table: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                local = name.asname or name.name.split(".")[0]
-                origin = name.name if name.asname else name.name.split(".")[0]
-                table[local] = origin
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue
-            for name in node.names:
-                if name.name == "*":
-                    continue
-                local = name.asname or name.name
-                table[local] = f"{node.module}.{name.name}"
-    return table
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -158,9 +226,62 @@ def in_scope(module: str, prefixes: Sequence[str]) -> bool:
     return False
 
 
+def call_family(resolved: str) -> Optional[str]:
+    """The banned-call family a resolved callable belongs to, if any:
+    also the :attr:`Site.kind` the collector records its calls under."""
+    if resolved in WALL_CLOCK_CALLS:
+        return "wall-clock"
+    if resolved in ENTROPY_CALLS or resolved.startswith(ENTROPY_PREFIXES):
+        return "entropy"
+    if resolved in ENVIRONMENT_CALLS:
+        return "environment"
+    if resolved in SHARED_MEMORY_CALLS:
+        return "shared-memory"
+    if resolved == "open":
+        return "open"
+    if resolved.startswith("random.") and resolved not in RNG_CONSTRUCTORS:
+        # Any callable of the random module itself, except constructing
+        # an explicitly seeded instance.
+        return "global-random"
+    return None
+
+
+def noqa_comments(source: str) -> Tuple[Tuple[int, Tuple[str, ...]], ...]:
+    """Every ``# noqa`` comment in ``source`` as ``(line, codes)``; an
+    empty ``codes`` is a bare ``# noqa`` silencing every rule."""
+    comments: List[Tuple[int, Tuple[str, ...]]] = []
+    for number, line in enumerate(source.splitlines(), 1):
+        match = _NOQA_RE.search(line)
+        if match is None:
+            continue
+        codes = match.group("codes") or ""
+        comments.append(
+            (number, tuple(code.strip().upper() for code in codes.split(",") if code))
+        )
+    return tuple(comments)
+
+
 # ---------------------------------------------------------------------------
 # Fact records.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class Site:
+    """One site a per-file rule (DET001..DET006) judges."""
+
+    line: int
+    col: int
+    #: A banned-call family (see :func:`call_family`): ``"wall-clock"``,
+    #: ``"global-random"``, ``"entropy"``, ``"environment"``, ``"open"``,
+    #: ``"shared-memory"``; or ``"environ"`` (an ``os.environ`` load),
+    #: ``"set-for"``/``"set-comprehension"``/``"set-launder"`` (a set
+    #: iterated in arbitrary order), ``"unfrozen-factory"``,
+    #: ``"mutable-default"``.
+    kind: str
+    #: The resolved callable, the laundering builtin, or the class or
+    #: function the site belongs to ("" when the kind says it all).
+    name: str
 
 
 @dataclass(frozen=True, order=True)
@@ -249,41 +370,14 @@ class FileFacts:
     streams: Tuple[StreamSite, ...] = field(default_factory=tuple)
     rngs: Tuple[RngSite, ...] = field(default_factory=tuple)
     numpy: Tuple[NumpySite, ...] = field(default_factory=tuple)
+    sites: Tuple[Site, ...] = field(default_factory=tuple)
+    #: ``# noqa`` comments, see :func:`noqa_comments`.
+    noqa: Tuple[Tuple[int, Tuple[str, ...]], ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
 # The collector: one walk, same-scope dataflow.
 # ---------------------------------------------------------------------------
-
-
-class _MutableNumpySite:
-    """Builder for NumpySite: ``positional_use`` is discovered after the
-    call itself has been recorded."""
-
-    def __init__(self, path: str, line: int, col: int, module: str, op: str,
-                 func: str, stable: bool, return_index: bool) -> None:
-        self.path = path
-        self.line = line
-        self.col = col
-        self.module = module
-        self.op = op
-        self.func = func
-        self.stable = stable
-        self.return_index = return_index
-        self.positional_use = False
-
-    def freeze(self) -> NumpySite:
-        return NumpySite(
-            path=self.path,
-            line=self.line,
-            col=self.col,
-            module=self.module,
-            op=self.op,
-            func=self.func,
-            stable=self.stable,
-            return_index=self.return_index,
-            positional_use=self.positional_use,
-        )
 
 
 class _Scope:
@@ -292,28 +386,39 @@ class _Scope:
     def __init__(self, outer: Optional["_Scope"] = None) -> None:
         self.setish: Dict[str, bool] = dict(outer.setish) if outer else {}
         self.derived: Dict[str, bool] = dict(outer.derived) if outer else {}
-        #: unique-result companion name -> numpy site builder.
-        self.companions: Dict[str, _MutableNumpySite] = (
-            dict(outer.companions) if outer else {}
-        )
+        #: unique-result companion name -> index of its numpy site.
+        self.companions: Dict[str, int] = dict(outer.companions) if outer else {}
 
 
 class FactCollector:
-    """Single-pass fact extraction over one module's AST."""
+    """Single-pass fact extraction over one module's AST.
 
-    def __init__(self, module: str, path: str, aliases: Dict[str, str]) -> None:
+    Every node is visited exactly once: statements by a scope-aware
+    recursive walk, each expression tree breadth-first.  The walk builds
+    the import table (``aliases``) as it passes each import statement, so
+    a name resolves through the imports above its use (ruff's E402 keeps
+    module-level imports at the top of every linted file).
+    """
+
+    def __init__(self, module: str, path: str) -> None:
         self.module = module
         self.path = path
-        self.aliases = aliases
+        self.aliases: Dict[str, str] = {}
         self.streams: List[StreamSite] = []
         self.rngs: List[RngSite] = []
-        self.numpy: List[_MutableNumpySite] = []
+        self.numpy: List[NumpySite] = []
+        #: Indices of the unique sites whose companions index a subscript
+        #: (discovered after the call itself is recorded).
+        self._positional: Set[int] = set()
+        self.sites: List[Site] = []
         self._qualname: List[str] = []
         self._index_param: List[str] = [""]
         self._loop_depth = 0
-        self._last_unique: Optional[_MutableNumpySite] = None
+        self._last_unique: Optional[int] = None
 
-    def collect(self, tree: ast.AST) -> FileFacts:
+    def collect(self, tree: ast.AST, source: str) -> FileFacts:
+        """The module's facts; ``source`` supplies its ``# noqa``
+        comments."""
         scope = _Scope()
         self._walk_body(getattr(tree, "body", []), scope)
         return FileFacts(
@@ -321,7 +426,14 @@ class FactCollector:
             module=self.module,
             streams=tuple(sorted(self.streams)),
             rngs=tuple(sorted(self.rngs)),
-            numpy=tuple(sorted(site.freeze() for site in self.numpy)),
+            numpy=tuple(
+                sorted(
+                    replace(site, positional_use=index in self._positional)
+                    for index, site in enumerate(self.numpy)
+                )
+            ),
+            sites=tuple(sorted(self.sites)),
+            noqa=noqa_comments(source),
         )
 
     # -- statement walk ----------------------------------------------
@@ -332,13 +444,13 @@ class FactCollector:
 
     def _stmt(self, stmt: ast.stmt, scope: _Scope) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for default in list(stmt.args.defaults) + [
-                d for d in stmt.args.kw_defaults if d is not None
-            ]:
-                self._expr(default, scope)
-            for decorator in stmt.decorator_list:
-                self._expr(decorator, scope)
+            # Decorators, defaults and annotations run in the enclosing
+            # scope; the body gets a scope of its own.
+            self._node(stmt, scope, bodies=False)
             args = stmt.args
+            for default in [*args.defaults, *args.kw_defaults]:
+                if default is not None and _is_mutable(default):
+                    self._site(default, "mutable-default", stmt.name)
             params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
             index_param = next(
                 (p for p in params if p in INDEX_PARAM_NAMES), ""
@@ -352,62 +464,97 @@ class FactCollector:
             self._qualname.pop()
             return
         if isinstance(stmt, ast.ClassDef):
-            for decorator in stmt.decorator_list:
-                self._expr(decorator, scope)
+            self._node(stmt, scope, bodies=False)
+            dataclass_decorator = _unfrozen_dataclass_decorator(stmt, self.aliases)
+            if dataclass_decorator is not None and _is_factory(stmt):
+                self._site(dataclass_decorator, "unfrozen-factory", stmt.name)
             self._qualname.append(stmt.name)
             self._walk_body(stmt.body, _Scope(scope))
             self._qualname.pop()
             return
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            value = stmt.value
-            if value is not None:
-                self._last_unique = None
-                self._expr(value, scope)
-                last_unique = self._last_unique
-                targets: List[ast.expr]
-                if isinstance(stmt, ast.Assign):
-                    targets = list(stmt.targets)
-                else:
-                    targets = [stmt.target]
-                for target in targets:
-                    self._bind(target, value, scope, last_unique)
+            self._assign(stmt, scope)
             return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._expr(stmt.iter, scope)
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            self._import(stmt)
+            return
+        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            if isinstance(stmt, ast.While):
+                self._expr(stmt.test, scope)
+            else:
+                if _is_setish(stmt.iter, scope):
+                    self._site(stmt.iter, "set-for", "")
+                self._expr(stmt.iter, scope)
+                self._expr(stmt.target, scope)
             self._loop_depth += 1
             self._walk_body(stmt.body, scope)
             self._loop_depth -= 1
             self._walk_body(stmt.orelse, scope)
             return
-        if isinstance(stmt, ast.While):
-            self._expr(stmt.test, scope)
-            self._loop_depth += 1
-            self._walk_body(stmt.body, scope)
-            self._loop_depth -= 1
-            self._walk_body(stmt.orelse, scope)
-            return
-        # Generic statement: scan expression children, recurse into any
-        # nested statement bodies (if/with/try/match...).
-        for child in ast.iter_child_nodes(stmt):
+        # Generic statement (if/with/try/match/return/...).
+        self._node(stmt, scope)
+
+    def _node(self, node: ast.AST, scope: _Scope, bodies: bool = True) -> None:
+        """Visit every child of ``node``: nested statements (unless
+        ``bodies`` is false), expressions, and the expressions and bodies
+        inside arguments, with-items, except-handlers and match-cases."""
+        for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.stmt):
-                self._stmt(child, scope)
+                if bodies:
+                    self._stmt(child, scope)
             elif isinstance(child, ast.expr):
                 self._expr(child, scope)
             else:
-                for sub_stmt in getattr(child, "body", []):
-                    if isinstance(sub_stmt, ast.stmt):
-                        self._stmt(sub_stmt, scope)
+                self._node(child, scope)
+
+    def _import(self, stmt: Union[ast.Import, ast.ImportFrom]) -> None:
+        """Extend the import table: ``import time as t`` maps ``t`` to
+        ``time``; ``from datetime import datetime as dt`` maps ``dt`` to
+        ``datetime.datetime``.  Relative imports are skipped (the banned
+        names are all stdlib/numpy)."""
+        if isinstance(stmt, ast.Import):
+            for name in stmt.names:
+                head = name.name.split(".")[0]
+                self.aliases[name.asname or head] = name.name if name.asname else head
+        elif stmt.module is not None and not stmt.level:
+            for name in stmt.names:
+                if name.name != "*":
+                    local = name.asname or name.name
+                    self.aliases[local] = f"{stmt.module}.{name.name}"
+
+    def _assign(
+        self, stmt: Union[ast.Assign, ast.AnnAssign, ast.AugAssign], scope: _Scope
+    ) -> None:
+        targets: List[ast.expr] = (
+            list(stmt.targets) if isinstance(stmt, ast.Assign) else [stmt.target]
+        )
+        for target in targets:
+            self._expr(target, scope)
+        if isinstance(stmt, ast.AnnAssign):
+            self._expr(stmt.annotation, scope)
+        value = stmt.value
+        if value is None:
+            return
+        self._last_unique = None
+        self._expr(value, scope)
+        if isinstance(stmt, ast.AugAssign):
+            # ``t op= v`` rebinds ``t`` like ``t = t op v``.
+            value = ast.BinOp(left=stmt.target, op=stmt.op, right=value)
+        for target in targets:
+            self._bind(target, value, scope, self._last_unique)
 
     def _bind(
         self,
         target: ast.expr,
         value: ast.expr,
         scope: _Scope,
-        last_unique: Optional[_MutableNumpySite],
+        last_unique: Optional[int],
     ) -> None:
         if isinstance(target, ast.Name):
             scope.setish[target.id] = _is_setish(value, scope)
-            scope.derived[target.id] = _is_derived_seed(value, scope)
+            scope.derived[target.id] = (
+                _lineage_of(value, scope, self.aliases) == "derived"
+            )
             scope.companions.pop(target.id, None)
             return
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -427,22 +574,44 @@ class FactCollector:
 
     # -- expression walk ---------------------------------------------
 
-    def _expr(self, node: ast.expr, scope: _Scope) -> None:
-        comp_call_ids = _comprehension_call_ids(node)
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                in_loop = self._loop_depth > 0 or id(sub) in comp_call_ids
-                self._call(sub, scope, in_loop)
-            elif isinstance(sub, ast.Subscript):
-                index = sub.slice
+    def _expr(self, root: ast.AST, scope: _Scope) -> None:
+        """Visit one expression tree breadth-first.  A call under a
+        comprehension runs once per element, so it counts as in a loop."""
+        todo: Deque[Tuple[ast.AST, bool]] = deque([(root, self._loop_depth > 0)])
+        while todo:
+            node, in_loop = todo.popleft()
+            if isinstance(node, ast.Call):
+                self._call(node, scope, in_loop)
+            elif isinstance(node, ast.Attribute):
+                if (
+                    node.attr == "environ"
+                    and isinstance(node.ctx, ast.Load)
+                    and resolve_name(node, self.aliases) == "os.environ"
+                ):
+                    self._site(node, "environ", "")
+            elif isinstance(node, ast.Subscript):
+                index = node.slice
                 if (
                     isinstance(index, ast.Name)
                     and index.id in scope.companions
                 ):
-                    scope.companions[index.id].positional_use = True
+                    self._positional.add(scope.companions[index.id])
+            elif isinstance(node, _COMPREHENSIONS):
+                for generator in node.generators:
+                    if _is_setish(generator.iter, scope):
+                        self._site(generator.iter, "set-comprehension", "")
+                in_loop = True
+            todo.extend((child, in_loop) for child in ast.iter_child_nodes(node))
 
     def _call(self, call: ast.Call, scope: _Scope, in_loop: bool) -> None:
         func = call.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id in ORDER_LAUNDERING_CALLS
+            and call.args
+            and _is_setish(call.args[0], scope)
+        ):
+            self._site(call, "set-launder", func.id)
         resolved = resolve_name(func, self.aliases)
         if isinstance(func, ast.Attribute) and func.attr in STREAM_METHODS:
             self._stream_site(call, func.attr, in_loop)
@@ -450,6 +619,9 @@ class FactCollector:
             if isinstance(func, ast.Attribute) and func.attr == "argsort":
                 self._sort_site(call, "argsort", ".argsort")
             return
+        family = call_family(resolved)
+        if family is not None:
+            self._site(call, family, resolved)
         if resolved in RNG_CONSTRUCTORS:
             self._rng_site(call, resolved, scope)
         if resolved in ("numpy.sort", "numpy.argsort", "numpy.lexsort"):
@@ -462,13 +634,7 @@ class FactCollector:
             tail = resolved[len("numpy.random."):]
             if tail and "." not in tail and tail not in NUMPY_RANDOM_ALLOWED:
                 self._record_numpy(call, "legacy-random", resolved)
-        if resolved in (
-            "numpy.array",
-            "numpy.asarray",
-            "numpy.asanyarray",
-            "numpy.fromiter",
-            "numpy.isin",
-        ):
+        if resolved in NUMPY_OPERAND_CALLS:
             if any(_is_unordered_operand(arg, scope) for arg in call.args):
                 self._record_numpy(call, "set-operand", resolved)
 
@@ -535,10 +701,9 @@ class FactCollector:
             and keyword.value.value is True
             for keyword in call.keywords
         )
-        site = self._record_numpy(
+        self._last_unique = self._record_numpy(
             call, "unique", "numpy.unique", return_index=return_index
         )
-        self._last_unique = site
 
     def _record_numpy(
         self,
@@ -547,31 +712,34 @@ class FactCollector:
         func: str,
         stable: bool = False,
         return_index: bool = False,
-    ) -> _MutableNumpySite:
-        site = _MutableNumpySite(
-            path=self.path,
-            line=call.lineno,
-            col=call.col_offset,
-            module=self.module,
-            op=op,
-            func=func,
-            stable=stable,
-            return_index=return_index,
+    ) -> int:
+        """Record a numpy site; returns its index in :attr:`numpy`."""
+        self.numpy.append(
+            NumpySite(
+                path=self.path,
+                line=call.lineno,
+                col=call.col_offset,
+                module=self.module,
+                op=op,
+                func=func,
+                stable=stable,
+                return_index=return_index,
+            )
         )
-        self.numpy.append(site)
-        return site
+        return len(self.numpy) - 1
+
+    def _site(self, node: ast.expr, kind: str, name: str) -> None:
+        self.sites.append(Site(node.lineno, node.col_offset, kind, name))
 
     def _function(self) -> str:
         return ".".join(self._qualname) if self._qualname else "<module>"
 
 
 def collect_facts_for_module(
-    module: str, path: str, tree: ast.AST, aliases: Optional[Dict[str, str]] = None
+    module: str, path: str, tree: ast.AST, source: str
 ) -> FileFacts:
     """Collect one file's facts (the engine's phase-1 entry point)."""
-    if aliases is None:
-        aliases = import_table(tree)
-    return FactCollector(module, path, aliases).collect(tree)
+    return FactCollector(module, path).collect(tree, source)
 
 
 # ---------------------------------------------------------------------------
@@ -603,27 +771,6 @@ def _key_pattern(node: ast.expr) -> Tuple[str, str, bool, bool]:
     return "", "", False, True
 
 
-def _is_derived_seed(
-    node: ast.expr, scope: _Scope
-) -> bool:
-    """True when the expression provably flows from derive_seed/spawn."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in (
-            "derive_seed",
-            "spawn",
-        ):
-            return True
-        return False
-    if isinstance(node, ast.Name):
-        return scope.derived.get(node.id, False)
-    if isinstance(node, ast.BinOp):
-        return _is_derived_seed(node.left, scope) or _is_derived_seed(
-            node.right, scope
-        )
-    return False
-
-
 def _seed_lineage(
     call: ast.Call, scope: _Scope, aliases: Dict[str, str]
 ) -> str:
@@ -648,7 +795,10 @@ def _lineage_of(node: ast.expr, scope: _Scope, aliases: Dict[str, str]) -> str:
         ):
             return "derived"
         if resolved is not None:
-            if resolved in AMBIENT_SEED_CALLS or resolved.startswith("secrets."):
+            if (
+                call_family(resolved) in ("wall-clock", "entropy")
+                or resolved in PROCESS_STATE_CALLS
+            ):
                 return "ambient"
             if resolved in NUMPY_BIT_GENERATORS:
                 # Generator(PCG64(seed)): judge the bit generator's own
@@ -671,18 +821,23 @@ def _lineage_of(node: ast.expr, scope: _Scope, aliases: Dict[str, str]) -> str:
 
 
 def _is_setish(node: ast.expr, scope: _Scope) -> bool:
+    """True when the expression is a set: a literal, a ``set()`` or
+    ``frozenset()`` call, a set-typed local, a set method's result or a
+    set operator over a set."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Name):
         return scope.setish.get(node.id, False)
     if isinstance(node, ast.Call):
         func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return True
-        return False
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
+        if isinstance(func, ast.Name):
+            return func.id in ("set", "frozenset")
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in SET_METHODS
+            and _is_setish(func.value, scope)
+        )
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPERATORS):
         return _is_setish(node.left, scope) or _is_setish(node.right, scope)
     return False
 
@@ -697,7 +852,7 @@ def _is_unordered_operand(node: ast.expr, scope: _Scope) -> bool:
         func = node.func
         if (
             isinstance(func, ast.Name)
-            and func.id in ("list", "tuple", "iter")
+            and func.id in ORDER_LAUNDERING_CALLS
             and node.args
             and _is_unordered_operand(node.args[0], scope)
         ):
@@ -711,15 +866,44 @@ def _is_unordered_operand(node: ast.expr, scope: _Scope) -> bool:
     return False
 
 
-def _comprehension_call_ids(node: ast.expr) -> Set[int]:
-    """ids of Call nodes nested under any comprehension within ``node``
-    (their bodies run once per element -- loop context)."""
-    ids: Set[int] = set()
-    for sub in ast.walk(node):
-        if isinstance(
-            sub, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            for inner in ast.walk(sub):
-                if isinstance(inner, ast.Call):
-                    ids.add(id(inner))
-    return ids
+def _is_mutable(node: ast.expr) -> bool:
+    """True when a default-argument expression builds a mutable
+    container."""
+    if isinstance(
+        node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)
+    ):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in MUTABLE_CALLS
+        return isinstance(func, ast.Attribute) and func.attr in MUTABLE_CALLS
+    return False
+
+
+def _unfrozen_dataclass_decorator(
+    node: ast.ClassDef, aliases: Dict[str, str]
+) -> Optional[ast.expr]:
+    """The class's ``@dataclass`` decorator unless it passes
+    ``frozen=True``; None for frozen dataclasses and other classes."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if resolve_name(target, aliases) not in ("dataclass", "dataclasses.dataclass"):
+            continue
+        frozen = isinstance(decorator, ast.Call) and any(
+            keyword.arg == "frozen"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is True
+            for keyword in decorator.keywords
+        )
+        return None if frozen else decorator
+    return None
+
+
+def _is_factory(node: ast.ClassDef) -> bool:
+    """The factory protocol: named ``*Factory`` or defines ``__call__``."""
+    return node.name.endswith("Factory") or any(
+        isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name == "__call__"
+        for item in node.body
+    )

@@ -1,12 +1,14 @@
-"""The determinism rule set: per-file DET001..DET006, project-scope
-DET010..DET012 and VEC001..VEC004.
+"""The determinism rule set: DET001..DET006 per file, DET010..DET012
+and VEC001..VEC004 over the whole project.
 
-The per-file rules are AST passes over one module.  Rules resolve
-imported names through the module's import table, so ``from time import
-perf_counter`` and ``import time as t`` are caught the same way as the
-plain spelling.  The project-scope rules consume the phase-1 facts of
-:mod:`repro.lint.facts` -- merged across every linted file -- so they
-can see whole-program invariants no single file reveals.
+Every rule judges the facts :mod:`repro.lint.facts` collects in its one
+walk per file; no rule walks a syntax tree.  The per-file rules read a
+file's :class:`~repro.lint.facts.Site` records -- calls resolved
+through the module's import table, so ``from time import perf_counter``
+and ``import time as t`` are caught the same way as the plain spelling.
+The project-scope rules read the stream, RNG and numpy sites merged
+across every linted file, so they can see whole-program invariants no
+single file reveals.
 
 Why the per-file six exist: the reproduction's correctness story is the
 golden-trace harness -- every strategy's full event trace must be
@@ -56,19 +58,11 @@ bookkeeping or container iteration order:
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.lint.facts import (
-    FileFacts,
-    NumpySite,
-    StreamSite,
-    collect_facts_for_module,
-    dotted_name as _dotted,
-    import_table as _import_table,
-    in_scope as _in_scope,
-    resolve_name,
-)
+from repro.lint.facts import FileFacts, NumpySite, StreamSite, in_scope
+# Re-exported: the phase-1 entry point the engine runs once per file.
+from repro.lint.facts import collect_facts_for_module as collect_facts_for_module
 from repro.lint.findings import Finding, Location
 
 #: Modules (dotted-prefix match) that make up the deterministic sim core.
@@ -106,525 +100,23 @@ WALL_CLOCK_ALLOWLIST: Tuple[str, ...] = (
 )
 
 
-class ModuleContext:
-    """Everything a rule needs to know about one parsed module."""
-
-    def __init__(self, module: str, path: str, tree: ast.AST, source: str) -> None:
-        self.module = module
-        self.path = path
-        self.tree = tree
-        self.source = source
-        self.aliases = _import_table(tree)
-        self._facts: Optional[FileFacts] = None
-
-    @property
-    def facts(self) -> FileFacts:
-        """The module's phase-1 facts, collected once on first use."""
-        if self._facts is None:
-            self._facts = collect_facts_for_module(
-                self.module, self.path, self.tree, self.aliases
-            )
-        return self._facts
-
-
-#: Shared AST helpers live in repro.lint.facts; the alias keeps the
-#: historical private name rules have always used.
-_resolve = resolve_name
-
-
 class Rule:
-    """Base class: a rule id, a summary and an AST check."""
+    """Base class: a rule id, a summary and a judgement over facts.
+
+    A per-file rule implements :meth:`check` over one file's facts; the
+    engine reaches it through :meth:`check_project`, which judges each
+    file of the merged fact set in turn.
+    """
 
     rule_id: str = ""
     summary: str = ""
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, facts: FileFacts) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self, ctx: ModuleContext, node: ast.AST, message: str
-    ) -> Finding:
-        return Finding(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=self.rule_id,
-            message=message,
-        )
-
-
-class WallClockRule(Rule):
-    """DET001: no wall-clock reads in deterministic code."""
-
-    rule_id = "DET001"
-    summary = (
-        "wall-clock call in deterministic code; use sim.now / simulated "
-        "timers instead"
-    )
-
-    BANNED: Set[str] = {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.clock_gettime",
-        "time.localtime",
-        "time.gmtime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if _in_scope(ctx.module, WALL_CLOCK_ALLOWLIST):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = _resolve(node.func, ctx.aliases)
-            if resolved in self.BANNED:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"wall-clock call {resolved}() is nondeterministic; "
-                    "read simulated time from the Simulator",
-                )
-
-
-class GlobalRandomRule(Rule):
-    """DET002: the module-level random generator is banned."""
-
-    rule_id = "DET002"
-    summary = (
-        "call into the global random generator; use a seeded "
-        "random.Random(seed) or a sim.rng stream"
-    )
-
-    #: The only attribute of the random module that may be *called*:
-    #: constructing an explicitly seeded instance.
-    ALLOWED = {"random.Random"}
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = _resolve(node.func, ctx.aliases)
-            if resolved is None or resolved in self.ALLOWED:
-                continue
-            head, _, rest = resolved.partition(".")
-            if head != "random" or not rest:
-                continue
-            # Only flag direct uses of the module itself, not methods on
-            # an instance that happens to shadow the name.
-            func = node.func
-            receiver = func.value if isinstance(func, ast.Attribute) else func
-            if isinstance(func, ast.Attribute) and not isinstance(
-                receiver, (ast.Name, ast.Attribute)
-            ):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"{resolved}() draws from the process-global generator; "
-                "pass an explicitly seeded random.Random or use sim.rng",
-            )
-
-
-class UnsortedSetIterationRule(Rule):
-    """DET003: iterating a set without sorted() first.
-
-    CPython string hashing is salted per process (PYTHONHASHSEED), so the
-    iteration order of any set containing strings -- and, transitively,
-    any list built from one -- varies across runs.  The rule tracks
-    set-typed locals by simple same-scope dataflow and flags:
-
-    - ``for x in <set-expr>`` and comprehension iteration, and
-    - ``list()/tuple()/iter()/enumerate()`` applied to a set expression
-      (order laundering: the arbitrary order escapes into a sequence).
-
-    ``sorted(<set-expr>)`` is the sanctioned escape hatch; order-free
-    reductions (``len``, ``sum``, ``min``, ``max``, ``any``, ``all``,
-    membership tests) are untouched.
-    """
-
-    rule_id = "DET003"
-    summary = "iteration over an unordered set; wrap it in sorted(...)"
-
-    _LAUNDER = {"list", "tuple", "iter", "enumerate"}
-    _SET_METHODS = {
-        "union",
-        "intersection",
-        "difference",
-        "symmetric_difference",
-        "copy",
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        findings: List[Finding] = []
-        self._visit_scope(ctx, ctx.tree, {}, findings)
-        yield from findings
-
-    # -- scope walk --------------------------------------------------
-
-    def _visit_scope(
-        self,
-        ctx: ModuleContext,
-        scope_node: ast.AST,
-        outer: Dict[str, bool],
-        findings: List[Finding],
-    ) -> None:
-        """Walk one lexical scope, tracking which locals hold sets."""
-        setish: Dict[str, bool] = dict(outer)
-        body = getattr(scope_node, "body", [])
-        for stmt in body:
-            self._visit_stmt(ctx, stmt, setish, findings)
-
-    def _visit_stmt(
-        self,
-        ctx: ModuleContext,
-        stmt: ast.stmt,
-        setish: Dict[str, bool],
-        findings: List[Finding],
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._scan_expr_children(ctx, stmt, setish, findings, skip_body=True)
-            self._visit_scope(ctx, stmt, setish, findings)
-            return
-        if isinstance(stmt, ast.ClassDef):
-            self._visit_scope(ctx, stmt, setish, findings)
-            return
-        if isinstance(stmt, ast.Assign):
-            self._scan_expr(ctx, stmt.value, setish, findings)
-            is_set = self._is_setish(stmt.value, setish)
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    setish[target.id] = is_set
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._scan_expr(ctx, stmt.value, setish, findings)
-            if isinstance(stmt.target, ast.Name):
-                setish[stmt.target.id] = self._is_setish(stmt.value, setish)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            if self._is_setish(stmt.iter, setish):
-                findings.append(
-                    self.finding(
-                        ctx,
-                        stmt.iter,
-                        "iterating a set in arbitrary order; "
-                        "wrap the iterable in sorted(...)",
-                    )
-                )
-            else:
-                self._scan_expr(ctx, stmt.iter, setish, findings)
-            for part in stmt.body + stmt.orelse:
-                self._visit_stmt(ctx, part, setish, findings)
-            return
-        # Generic statement: scan nested expressions, recurse into any
-        # statement bodies (if/while/with/try).
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                self._visit_stmt(ctx, child, setish, findings)
-            elif isinstance(child, ast.expr):
-                self._scan_expr(ctx, child, setish, findings)
-            else:
-                for sub in ast.walk(child):
-                    if isinstance(sub, ast.stmt):
-                        self._visit_stmt(ctx, sub, setish, findings)
-                        break
-                else:
-                    continue
-
-    def _scan_expr_children(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        setish: Dict[str, bool],
-        findings: List[Finding],
-        skip_body: bool = False,
-    ) -> None:
-        for child in ast.iter_child_nodes(node):
-            if skip_body and isinstance(child, ast.stmt):
-                continue
-            if isinstance(child, ast.expr):
-                self._scan_expr(ctx, child, setish, findings)
-
-    def _scan_expr(
-        self,
-        ctx: ModuleContext,
-        node: ast.expr,
-        setish: Dict[str, bool],
-        findings: List[Finding],
-    ) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                func = sub.func
-                if (
-                    isinstance(func, ast.Name)
-                    and func.id in self._LAUNDER
-                    and sub.args
-                    and self._is_setish(sub.args[0], setish)
-                ):
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            sub,
-                            f"{func.id}() of a set leaks arbitrary iteration "
-                            "order; use sorted(...) instead",
-                        )
-                    )
-            elif isinstance(
-                sub, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in sub.generators:
-                    if self._is_setish(gen.iter, setish):
-                        findings.append(
-                            self.finding(
-                                ctx,
-                                gen.iter,
-                                "comprehension iterates a set in arbitrary "
-                                "order; wrap the iterable in sorted(...)",
-                            )
-                        )
-
-    # -- set-expression predicate ------------------------------------
-
-    def _is_setish(self, node: ast.expr, setish: Dict[str, bool]) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return setish.get(node.id, False)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in {"set", "frozenset"}:
-                return True
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in self._SET_METHODS
-                and self._is_setish(func.value, setish)
-            ):
-                return True
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self._is_setish(node.left, setish) or self._is_setish(
-                node.right, setish
-            )
-        return False
-
-
-class EnvironmentReadRule(Rule):
-    """DET004: no ambient-environment reads inside the sim core."""
-
-    rule_id = "DET004"
-    summary = (
-        "environment/filesystem/entropy read in the sim core; inject the "
-        "value through configuration instead"
-    )
-
-    BANNED_CALLS: Set[str] = {
-        "os.getenv",
-        "os.putenv",
-        "os.urandom",
-        "os.getrandom",
-        "io.open",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "socket.gethostname",
-        "platform.node",
-    }
-    BANNED_PREFIXES: Tuple[str, ...] = ("secrets.",)
-    #: Banned like the calls above -- segment creation draws a random
-    #: OS name -- but exempt inside :data:`SHARED_MEMORY_ALLOWLIST`.
-    SHARED_MEMORY_CALLS: Set[str] = {
-        "multiprocessing.shared_memory.SharedMemory",
-        "multiprocessing.shared_memory.ShareableList",
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.module, CORE_MODULES):
-            return
-        shm_exempt = _in_scope(ctx.module, SHARED_MEMORY_ALLOWLIST)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                resolved = _resolve(node.func, ctx.aliases)
-                if resolved is None:
-                    continue
-                if resolved in self.SHARED_MEMORY_CALLS:
-                    if not shm_exempt:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{resolved}() creates an OS-named shared "
-                            "segment (ambient /psm_* name); only the "
-                            "megasim arena may own segments",
-                        )
-                elif resolved == "open":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "open() in the sim core reads the real filesystem; "
-                        "load data in the experiment layer and pass it in",
-                    )
-                elif resolved in self.BANNED_CALLS or resolved.startswith(
-                    self.BANNED_PREFIXES
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{resolved}() reads ambient process state the "
-                        "golden traces cannot replay",
-                    )
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ):
-                resolved = _resolve(node, ctx.aliases)
-                if resolved == "os.environ":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "os.environ read in the sim core; environment "
-                        "lookups belong in the CLI/experiment layer",
-                    )
-
-
-class UnfrozenFactoryRule(Rule):
-    """DET005: factories shipped to the parallel engine must be frozen.
-
-    The parallel engine pickles :class:`ExperimentSpec` payloads into
-    worker processes.  PR 3 standardised every strategy/experiment
-    factory as a frozen dataclass: frozen means hashable, comparable and
-    safe to share; a mutable factory could diverge between parent and
-    worker after dispatch.  The rule flags any dataclass that defines
-    ``__call__`` (the factory protocol) or is named ``*Factory`` but is
-    not declared ``frozen=True``.
-    """
-
-    rule_id = "DET005"
-    summary = "factory dataclass must be @dataclass(frozen=True)"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorated = self._dataclass_decorator(node, ctx)
-            if decorated is None:
-                continue
-            decorator, frozen = decorated
-            if frozen:
-                continue
-            is_factory = node.name.endswith("Factory") or any(
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name == "__call__"
-                for item in node.body
-            )
-            if is_factory:
-                yield self.finding(
-                    ctx,
-                    decorator,
-                    f"factory dataclass {node.name} is not frozen; the "
-                    "parallel engine requires frozen (picklable, "
-                    "hash-stable) factories",
-                )
-
-    def _dataclass_decorator(
-        self, node: ast.ClassDef, ctx: ModuleContext
-    ) -> Optional[Tuple[ast.AST, bool]]:
-        """Return (decorator node, frozen?) if the class is a dataclass."""
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            resolved = _resolve(target, ctx.aliases)
-            if resolved not in {"dataclass", "dataclasses.dataclass"}:
-                continue
-            frozen = False
-            if isinstance(decorator, ast.Call):
-                for keyword in decorator.keywords:
-                    if keyword.arg == "frozen":
-                        frozen = (
-                            isinstance(keyword.value, ast.Constant)
-                            and keyword.value.value is True
-                        )
-            return decorator, frozen
-        return None
-
-
-class MutableDefaultRule(Rule):
-    """DET006: no mutable default arguments."""
-
-    rule_id = "DET006"
-    summary = "mutable default argument; default to None and build inside"
-
-    _MUTABLE_CALLS = {
-        "list",
-        "dict",
-        "set",
-        "bytearray",
-        "defaultdict",
-        "deque",
-        "Counter",
-        "OrderedDict",
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                default
-                for default in node.args.kw_defaults
-                if default is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        ctx,
-                        default,
-                        f"mutable default in {node.name}(); defaults are "
-                        "evaluated once and shared across every call",
-                    )
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.SetComp, ast.DictComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else ""
-            )
-            return name in self._MUTABLE_CALLS
-        return False
-
-
-#: Modules (dotted-prefix match) the vectorization-safety rules apply
-#: to: the struct-of-arrays scale tier, where every tie-break and
-#: operand ordering feeds a bit-exact differential against the event
-#: kernel.
-VECTOR_MODULES: Tuple[str, ...] = ("repro.megasim",)
-
-
-class ProjectRule(Rule):
-    """A rule over the merged project-wide fact set (phase 2).
-
-    The engine runs :meth:`check_project` once over every linted file's
-    facts.  :meth:`check` keeps the single-file entry points
-    (``lint_source``/``lint_file``) working by treating the one module
-    as a one-file project.
-    """
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        yield from self.check_project((ctx.facts,))
-
-    def check_project(
-        self, facts: Sequence[FileFacts]
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
+    def check_project(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
+        for file_facts in facts:
+            yield from self.check(file_facts)
 
     def site_finding(
         self,
@@ -642,6 +134,157 @@ class ProjectRule(Rule):
             message=message,
             related=related,
         )
+
+
+class SiteRule(Rule):
+    """A per-file rule over the collector's :class:`Site` records: one
+    finding per site whose kind has a message template (``{name}`` is
+    the site's name) in a module the rule applies to."""
+
+    templates: Dict[str, str] = {}
+
+    def applies(self, module: str, kind: str) -> bool:
+        return True
+
+    def check(self, facts: FileFacts) -> Iterator[Finding]:
+        for site in facts.sites:
+            template = self.templates.get(site.kind)
+            if template is not None and self.applies(facts.module, site.kind):
+                yield self.site_finding(
+                    facts.path, site.line, site.col, template.format(name=site.name)
+                )
+
+
+class WallClockRule(SiteRule):
+    """DET001: no wall-clock reads in deterministic code."""
+
+    rule_id = "DET001"
+    summary = (
+        "wall-clock call in deterministic code; use sim.now / simulated "
+        "timers instead"
+    )
+    templates = {
+        "wall-clock": "wall-clock call {name}() is nondeterministic; "
+        "read simulated time from the Simulator",
+    }
+
+    def applies(self, module: str, kind: str) -> bool:
+        return not in_scope(module, WALL_CLOCK_ALLOWLIST)
+
+
+class GlobalRandomRule(SiteRule):
+    """DET002: the module-level random generator is banned; only
+    constructing an explicitly seeded ``random.Random`` may be called."""
+
+    rule_id = "DET002"
+    summary = (
+        "call into the global random generator; use a seeded "
+        "random.Random(seed) or a sim.rng stream"
+    )
+    templates = {
+        "global-random": "{name}() draws from the process-global generator; "
+        "pass an explicitly seeded random.Random or use sim.rng",
+    }
+
+
+class UnsortedSetIterationRule(SiteRule):
+    """DET003: iterating a set without sorted() first.
+
+    CPython string hashing is salted per process (PYTHONHASHSEED), so the
+    iteration order of any set containing strings -- and, transitively,
+    any list built from one -- varies across runs.  The collector tracks
+    set-typed locals by simple same-scope dataflow and records:
+
+    - ``for x in <set-expr>`` and comprehension iteration, and
+    - ``list()/tuple()/iter()/enumerate()`` applied to a set expression
+      (order laundering: the arbitrary order escapes into a sequence).
+
+    ``sorted(<set-expr>)`` is the sanctioned escape hatch; order-free
+    reductions (``len``, ``sum``, ``min``, ``max``, ``any``, ``all``,
+    membership tests) are untouched.
+    """
+
+    rule_id = "DET003"
+    summary = "iteration over an unordered set; wrap it in sorted(...)"
+    templates = {
+        "set-for": "iterating a set in arbitrary order; "
+        "wrap the iterable in sorted(...)",
+        "set-comprehension": "comprehension iterates a set in arbitrary "
+        "order; wrap the iterable in sorted(...)",
+        "set-launder": "{name}() of a set leaks arbitrary iteration "
+        "order; use sorted(...) instead",
+    }
+
+
+class EnvironmentReadRule(SiteRule):
+    """DET004: no ambient-environment reads inside the sim core."""
+
+    rule_id = "DET004"
+    summary = (
+        "environment/filesystem/entropy read in the sim core; inject the "
+        "value through configuration instead"
+    )
+    templates = {
+        "entropy": "{name}() reads ambient process state the golden traces "
+        "cannot replay",
+        "environment": "{name}() reads ambient process state the golden "
+        "traces cannot replay",
+        "open": "open() in the sim core reads the real filesystem; "
+        "load data in the experiment layer and pass it in",
+        "shared-memory": "{name}() creates an OS-named shared segment "
+        "(ambient /psm_* name); only the megasim arena may own segments",
+        "environ": "os.environ read in the sim core; environment "
+        "lookups belong in the CLI/experiment layer",
+    }
+
+    def applies(self, module: str, kind: str) -> bool:
+        if kind == "shared-memory" and in_scope(module, SHARED_MEMORY_ALLOWLIST):
+            return False
+        return in_scope(module, CORE_MODULES)
+
+
+class UnfrozenFactoryRule(SiteRule):
+    """DET005: factories shipped to the parallel engine must be frozen.
+
+    The parallel engine pickles :class:`ExperimentSpec` payloads into
+    worker processes.  PR 3 standardised every strategy/experiment
+    factory as a frozen dataclass: frozen means hashable, comparable and
+    safe to share; a mutable factory could diverge between parent and
+    worker after dispatch.  The rule flags any dataclass that defines
+    ``__call__`` (the factory protocol) or is named ``*Factory`` but is
+    not declared ``frozen=True``.
+    """
+
+    rule_id = "DET005"
+    summary = "factory dataclass must be @dataclass(frozen=True)"
+    templates = {
+        "unfrozen-factory": "factory dataclass {name} is not frozen; the "
+        "parallel engine requires frozen (picklable, hash-stable) factories",
+    }
+
+
+class MutableDefaultRule(SiteRule):
+    """DET006: no mutable default arguments."""
+
+    rule_id = "DET006"
+    summary = "mutable default argument; default to None and build inside"
+    templates = {
+        "mutable-default": "mutable default in {name}(); defaults are "
+        "evaluated once and shared across every call",
+    }
+
+
+#: Modules (dotted-prefix match) the vectorization-safety rules apply
+#: to: the struct-of-arrays scale tier, where every tie-break and
+#: operand ordering feeds a bit-exact differential against the event
+#: kernel.
+VECTOR_MODULES: Tuple[str, ...] = ("repro.megasim",)
+
+
+class ProjectRule(Rule):
+    """A rule over the merged project-wide fact set (phase 2): it
+    overrides :meth:`check_project` to see every file at once, so its
+    findings may span files."""
 
 
 class StreamCollisionRule(ProjectRule):
@@ -787,7 +430,7 @@ class _VectorRule(ProjectRule):
         self, facts: Sequence[FileFacts]
     ) -> Iterator[Finding]:
         for file_facts in facts:
-            if not _in_scope(file_facts.module, VECTOR_MODULES):
+            if not in_scope(file_facts.module, VECTOR_MODULES):
                 continue
             for site in file_facts.numpy:
                 finding = self.check_site(site)

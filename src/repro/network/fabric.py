@@ -141,13 +141,6 @@ class NetworkFabric:
             )
             for node in range(model.size)
         ]
-        # Fast-path state: the latency matrix is immutable after model
-        # construction, so rows can be indexed directly, and the healthy
-        # no-observer configuration is precomputed into one boolean
-        # instead of being re-derived on every send (see :meth:`send`).
-        self._latency_rows = model.latency_ms
-        self._fast_path = False
-        self._refresh_fast_path()
 
     @property
     def size(self) -> int:
@@ -164,25 +157,6 @@ class NetworkFabric:
 
     def set_observer(self, observer: Optional[PacketObserver]) -> None:
         self.observer = observer
-        self._refresh_fast_path()
-
-    def _refresh_fast_path(self) -> None:
-        """Recompute the per-send fast-path predicate.
-
-        The fast path is taken when nothing on the send path can draw
-        randomness, impose gray delays, or report to an observer: the
-        common healthy-network case then does one NIC reservation, one
-        latency-row lookup and one ``schedule_at``.  Every mutator of the
-        inputs below re-invokes this, so :meth:`send` itself checks a
-        single boolean.
-        """
-        self._fast_path = (
-            self.observer is None
-            and self.config.loss_probability == 0.0
-            and self.config.jitter_ms == 0.0
-            and not self._links
-            and not self._service_delay
-        )
 
     # -- failure injection ----------------------------------------------------
 
@@ -256,14 +230,12 @@ class NetworkFabric:
             self._service_delay[node] = service_delay_ms
         else:
             self._service_delay.pop(node, None)
-        self._refresh_fast_path()
 
     def clear_node_slowdown(self, node: int) -> None:
         """Restore ``node`` to healthy speed."""
         self._check_node(node)
         self.nics[node].set_slowdown(1.0)
         self._service_delay.pop(node, None)
-        self._refresh_fast_path()
 
     def node_service_delay(self, node: int) -> float:
         return self._service_delay.get(node, 0.0)
@@ -273,11 +245,9 @@ class NetworkFabric:
         self._check_node(src)
         self._check_node(dst)
         self._links[(src, dst)] = profile
-        self._refresh_fast_path()
 
     def clear_link(self, src: int, dst: int) -> None:
         self._links.pop((src, dst), None)
-        self._refresh_fast_path()
 
     def link_profile(self, src: int, dst: int) -> Optional[LinkProfile]:
         return self._links.get((src, dst))
@@ -288,7 +258,6 @@ class NetworkFabric:
             nic.set_slowdown(1.0)
         self._service_delay.clear()
         self._links.clear()
-        self._refresh_fast_path()
 
     # -- data path -------------------------------------------------------------
 
@@ -301,36 +270,11 @@ class NetworkFabric:
         layer uses it to enforce per-connection FIFO ordering.  Returns a
         :class:`SendReceipt` for in-flight packets, or ``None`` when the
         packet was dropped at the source (silenced sender or loss).
-
-        The healthy common case (no observer, no loss, no jitter, no
-        gray state -- see :meth:`_refresh_fast_path`) takes a slim branch
-        that performs exactly the same arithmetic as the full path with
-        every inactive stage skipped: byte-identical outcomes, a fraction
-        of the dispatch cost.  That configuration draws no randomness on
-        the full path either, so the two branches cannot diverge.
+        Inactive stages (no observer, zero loss or jitter, no gray state)
+        draw no randomness, so a healthy network pays only for the checks.
         """
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         packet.sent_at = now
-        src = packet.src
-        if (
-            self._fast_path
-            and self._partition_of is None
-            and not self._silenced[src]
-        ):
-            deliver_at = self.nics[src].transmission_done_at(
-                now, packet.size_bytes
-            ) + self._latency_rows[src][packet.dst]
-            if deliver_at < min_deliver_at:
-                deliver_at = min_deliver_at
-            handle = sim.schedule_at(deliver_at, self._deliver, packet)
-            return SendReceipt(packet=packet, handle=handle, deliver_at=deliver_at)
-        return self._send_full(packet, now, min_deliver_at)
-
-    def _send_full(
-        self, packet: Packet, now: float, min_deliver_at: float
-    ) -> Optional["SendReceipt"]:
-        """The full send path: observers, loss, jitter, gray failures."""
         if self.observer is not None:
             self.observer.on_send(packet, now)
 

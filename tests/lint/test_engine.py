@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.lint import (
     LintError,
+    collect_facts,
     lint_file,
     lint_paths,
     lint_source,
@@ -150,3 +152,118 @@ def test_select_rules_filters_and_normalises():
 def test_select_rules_rejects_unknown_codes():
     with pytest.raises(LintError, match="DET099"):
         select_rules(["DET099"])
+
+
+# -- one read, one parse, one walk per file ----------------------------------------
+
+
+def test_lint_paths_parses_and_walks_each_file_once(tmp_path, monkeypatch):
+    from repro.lint import engine
+
+    for name in ("a.py", "b.py", "c.py"):
+        (tmp_path / name).write_text(
+            "import time\n"
+            "def f(xs):\n"
+            "    return [time.time() for x in {1, 2} if x in xs]\n"
+        )
+    calls = {"parse": 0, "collect": 0}
+    # Enumerating a node's children is what any walk over it does.  Only
+    # statements and expressions are counted (the parser shares one
+    # Load/Store/operator node between all uses), and they are kept
+    # alive so their ids stay unique across files.
+    enumerated = {}
+    real_children = ast.iter_child_nodes
+
+    def children(node):
+        if isinstance(node, (ast.stmt, ast.expr)):
+            enumerated.setdefault(id(node), [node, 0])[1] += 1
+        return real_children(node)
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    # Patched only while linting: pytest's own reporting uses ast.
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            engine, "_parse_context", counting("parse", engine._parse_context)
+        )
+        patch.setattr(
+            engine,
+            "collect_facts_for_module",
+            counting("collect", engine.collect_facts_for_module),
+        )
+        patch.setattr(ast, "iter_child_nodes", children)
+        # A file listed twice is still read once.
+        findings = lint_paths([tmp_path, tmp_path / "b.py"], root=tmp_path)
+    assert [(f.path, f.rule) for f in findings] == [
+        (name, rule) for name in ("a.py", "b.py", "c.py")
+        for rule in ("DET001", "DET003")
+    ]
+    assert calls == {"parse": 3, "collect": 3}
+    assert enumerated and max(count for _, count in enumerated.values()) == 1
+
+
+#: One module that trips every rule, under a scope where all of them apply.
+EVERY_RULE = """\
+import os
+import random
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+clock = time.time()
+draw = random.random()
+for x in {1, 2}:
+    pass
+env = os.getenv("SEED")
+
+
+@dataclass
+class BuildFactory:
+    p: float
+
+
+def pick(xs=[]):
+    return xs
+
+
+def a(streams):
+    return streams.stream("shared")
+
+
+def b(streams, nodes):
+    rng = random.Random(7)
+    for node in nodes:
+        streams.stream("shared")
+    return rng
+
+
+def vec(x, payload):
+    order = np.argsort(x)
+    noise = np.random.rand(3)
+    vals, inverse = np.unique(x, return_inverse=True)
+    return payload[inverse], np.array(set(x)), order, noise
+"""
+
+
+def test_rules_judge_facts_without_walking_a_syntax_tree(tmp_path, monkeypatch):
+    module = tmp_path / "src" / "repro" / "megasim" / "every.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(EVERY_RULE)
+    facts = collect_facts([tmp_path], root=tmp_path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rule parsed or walked a syntax tree")
+
+    with monkeypatch.context() as patch:
+        for name in ("parse", "walk", "iter_child_nodes"):
+            patch.setattr(ast, name, forbidden)
+        fired = {
+            finding.rule for rule in RULES for finding in rule.check_project(facts)
+        }
+    assert fired == {rule.rule_id for rule in RULES}

@@ -186,6 +186,18 @@ class TestRngLineage:
         )
         assert rules_of(source) == []
 
+    def test_wall_clock_seed_is_ambient_where_clocks_are_allowed(self):
+        # A benchmark may read the clock (DET001 allowlist), but a seed
+        # drawn from it is still outside the root-seed lineage: DET011
+        # knows every clock DET001 knows, from the same table.
+        source = (
+            "import random\n"
+            "import time\n"
+            "rng = random.Random(time.process_time())\n"
+        )
+        assert rules_of(source, module="benchmarks.bench_x") == ["DET011"]
+        assert rules_of(source) == ["DET011", "DET001"]
+
 
 # -- DET012: unparameterized stream keys in loops ----------------------------------
 

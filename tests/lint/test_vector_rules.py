@@ -173,3 +173,13 @@ class TestSetOperand:
         assert rules_of(
             "import numpy as np\narr = np.array([3, 1, 2])\n"
         ) == []
+
+    def test_set_method_operand_fires(self):
+        # s.union(...) is a set, by the same predicate DET003 uses.
+        source = (
+            "import numpy as np\n"
+            "def f(b):\n"
+            "    s = set(b)\n"
+            "    return np.isin(b, s.union(b))\n"
+        )
+        assert rules_of(source) == ["VEC004"]
